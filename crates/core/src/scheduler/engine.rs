@@ -26,9 +26,13 @@
 //!
 //! Task keys and life numbers are threaded through the call stack as
 //! explicit parameters rather than read back from (possibly corrupt)
-//! descriptors, and each traversal step is a work-stealing job ("the
-//! creation and computation of the predecessors of a given task are
-//! concurrent and can be executed by different threads"). The engine asks
+//! descriptors. The traversal is **work-first**, like NABBIT's Cilk++
+//! `spawn`: every predecessor but the last is a stealable work-stealing
+//! job ("the creation and computation of the predecessors of a given task
+//! are concurrent and can be executed by different threads"), while the
+//! last predecessor, and the traversal of each task a visit creates, run
+//! inline on the visiting worker — bounded by [`MAX_INLINE_CHAIN`] and
+//! gated by the same rule as the inline completion chain. The engine asks
 //! the executor for the current worker index at every step and hands it to
 //! the policy, so trace shards and sharded metrics lanes are selected by
 //! worker identity instead of contending cross-worker.
@@ -68,14 +72,19 @@ use std::time::Instant;
 /// tasks and their ancestors are [`Priority::High`]).
 pub type PriorityFn = Arc<dyn Fn(Key) -> Priority + Send + Sync>;
 
-/// Maximum tasks executed back-to-back by one job through the inline
-/// single-successor chain before the continuation is re-enqueued.
+/// Maximum inline depth of one job: tasks executed back-to-back through
+/// the single-successor completion chain, and nested traversal levels
+/// (`InitAndCompute` → `TryInitCompute` → `InitAndCompute` of the created
+/// predecessor), before the continuation is re-enqueued.
 ///
-/// Chaining never *hides* parallel work — every ready successor beyond the
-/// chain candidate is spawned normally — but an unbounded chain would keep
-/// one worker from touching its own deque indefinitely; re-enqueueing
-/// every `MAX_INLINE_CHAIN` tasks gives the scheduler (and a `DetPool`
-/// campaign's seeded schedule) a periodic interleaving point.
+/// Inlining never *hides* parallel work — every ready successor beyond the
+/// chain candidate and every predecessor but the last is spawned normally
+/// — but an unbounded chain would keep one worker from touching its own
+/// deque indefinitely, and unbounded traversal nesting would overflow the
+/// worker's stack on a long serial chain. Re-enqueueing every
+/// `MAX_INLINE_CHAIN` levels (the spawned job restarts at depth 0) bounds
+/// both and gives the scheduler (and a `DetPool` campaign's seeded
+/// schedule) a periodic interleaving point.
 pub const MAX_INLINE_CHAIN: usize = 64;
 
 thread_local! {
@@ -286,6 +295,17 @@ impl<P: FtPolicy> Engine<P> {
         }
     }
 
+    /// Whether a call toward a target of priority `prio` may run inline in
+    /// the current job at inline depth `depth`, instead of going through
+    /// the queues. One rule for the completion chain and the traversal:
+    /// bounded by [`MAX_INLINE_CHAIN`], and in priority mode only hot
+    /// targets run inline, so inlined work never runs ahead of queued hot
+    /// work it should yield to.
+    #[inline]
+    fn may_inline(&self, depth: usize, prio: Priority) -> bool {
+        depth < MAX_INLINE_CHAIN && (self.opts.priority.is_none() || prio == Priority::High)
+    }
+
     /// Execute the task graph to completion on `exec`; returns run
     /// statistics.
     ///
@@ -305,7 +325,7 @@ impl<P: FtPolicy> Engine<P> {
         let this = Arc::clone(self);
         let prio = self.prio_of(sink);
         exec.execute_job(Job::new(move |scope: &Scope<'_>| {
-            scope.spawn_with(prio, move |s| this.init_and_compute(s, sd, sink, life));
+            scope.spawn_with(prio, move |s| this.init_and_compute(s, sd, sink, life, 0));
         }));
         self.finish_report(start)
     }
@@ -372,22 +392,30 @@ impl<P: FtPolicy> Engine<P> {
 
     /// `InitAndCompute(A, key, life)`: traverse immediate predecessors,
     /// then self-notify (consuming the `+1` in the join counter).
+    ///
+    /// Work-first: every predecessor but the last is a stealable
+    /// `TryInitCompute` job; the last is visited inline at `depth + 1` when
+    /// `Engine::may_inline` allows it. `depth` is the inline nesting of
+    /// the calling job (0 for a freshly spawned job).
     pub(super) fn init_and_compute(
         self: &Arc<Self>,
         s: &Scope<'_>,
         a: ArenaRef<P::Desc>,
         key: Key,
         life: u64,
+        depth: usize,
     ) {
         // Iterate the cached predecessor slice by reference: the hot path
         // allocates nothing per traversal.
-        for &pkey in a.preds() {
-            let this = Arc::clone(self);
-            // Priority of the *target* (the predecessor being traversed):
-            // hard tasks and their ancestors traverse ahead of soft work.
-            s.spawn_with(self.prio_of(pkey), move |s| {
-                this.try_init_compute(s, a, key, life, pkey)
-            });
+        if let Some((&last, rest)) = a.preds().split_last() {
+            for &pkey in rest {
+                self.spawn_try_init_compute(s, a, key, life, pkey);
+            }
+            if self.may_inline(depth, self.prio_of(last)) {
+                self.try_init_compute(s, a, key, life, last, depth + 1);
+            } else {
+                self.spawn_try_init_compute(s, a, key, life, last);
+            }
         }
         // Section VI "before compute" injection point: the task "has
         // traversed its predecessors and is waiting for one or more
@@ -396,9 +424,10 @@ impl<P: FtPolicy> Engine<P> {
         self.notify_once(s, a, key, key, life);
     }
 
-    /// `TryInitCompute(A, key, life, pkey)`: create/visit predecessor
-    /// `pkey`; register A for notification or observe completion.
-    pub(super) fn try_init_compute(
+    /// Spawn `TryInitCompute(A, key, life, pkey)` as a fresh job (inline
+    /// depth 0) at the priority of its *target*: hard tasks and their
+    /// ancestors traverse ahead of soft work.
+    fn spawn_try_init_compute(
         self: &Arc<Self>,
         s: &Scope<'_>,
         a: ArenaRef<P::Desc>,
@@ -406,17 +435,32 @@ impl<P: FtPolicy> Engine<P> {
         life: u64,
         pkey: Key,
     ) {
+        let this = Arc::clone(self);
+        s.spawn_with(self.prio_of(pkey), move |s| {
+            this.try_init_compute(s, a, key, life, pkey, 0)
+        });
+    }
+
+    /// `TryInitCompute(A, key, life, pkey)`: create/visit predecessor
+    /// `pkey`; register A for notification or observe completion. If this
+    /// visit created B, B's traversal follows inline at `depth` (or as a
+    /// fresh job, per `Engine::may_inline`) — after A's registration,
+    /// so B's own drain delivers to A instead of A's registrant
+    /// self-delivering.
+    pub(super) fn try_init_compute(
+        self: &Arc<Self>,
+        s: &Scope<'_>,
+        a: ArenaRef<P::Desc>,
+        key: Key,
+        life: u64,
+        pkey: Key,
+        depth: usize,
+    ) {
         let inserted = self.insert_if_absent(pkey, s.worker_index());
         let Some((b, blife)) = self.get_task(pkey) else {
             debug_assert!(false, "predecessor {pkey} vanished from the task map");
             return;
         };
-        if inserted {
-            let this = Arc::clone(self);
-            s.spawn_with(self.prio_of(pkey), move |s| {
-                this.init_and_compute(s, b, pkey, blife)
-            });
-        }
 
         // try { check B; register; self-deliver if B already computed }
         let attempt: Result<bool, P::Err> = (|| {
@@ -434,6 +478,16 @@ impl<P: FtPolicy> Engine<P> {
             // stale delivery from the old incarnation is absorbed by A's
             // notification bits.
             Err(f) => P::on_guard_fault(self, s, f, pkey, blife),
+        }
+
+        if inserted {
+            let prio = self.prio_of(pkey);
+            if self.may_inline(depth, prio) {
+                self.init_and_compute(s, b, pkey, blife, depth);
+            } else {
+                let this = Arc::clone(self);
+                s.spawn_with(prio, move |s| this.init_and_compute(s, b, pkey, blife, 0));
+            }
         }
     }
 
@@ -578,7 +632,7 @@ impl<P: FtPolicy> Engine<P> {
             // The compute ran to completion: count the work (even if the
             // injection right below discards it — that is exactly the
             // "work lost" the experiments measure).
-            self.metrics.record_compute(key);
+            self.metrics.record_compute_by(key, worker);
             self.policy.emit(worker, Event::Computed { key, life });
             // Section VI "after compute" injection point: computed, about
             // to notify successors. The guard right below observes it.
@@ -680,15 +734,10 @@ impl<P: FtPolicy> Engine<P> {
             return;
         }
         let prio = self.prio_of(skey);
-        // Chain policy: first ready successor continues inline, bounded by
-        // MAX_INLINE_CHAIN; in priority mode only hot targets chain, so an
-        // inlined continuation never runs ahead of queued hot work it
-        // should yield to. Everything else goes through the queues and
-        // stays stealable.
-        let may_chain = depth < MAX_INLINE_CHAIN
-            && chain.is_none()
-            && (self.opts.priority.is_none() || prio == Priority::High);
-        if may_chain {
+        // Chain policy: the first ready successor continues inline, under
+        // the shared inline rule. Everything else goes through the queues
+        // and stays stealable.
+        if chain.is_none() && self.may_inline(depth, prio) {
             *chain = Some((sd, skey, slife));
         } else {
             let this = Arc::clone(self);

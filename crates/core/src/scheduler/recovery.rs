@@ -15,7 +15,7 @@
 //! * `ResetNode` — Guarantee 5 support: a task whose *input* failed resets
 //!   its join counter and bit vector and re-traverses its predecessors.
 
-use super::engine::{with_pred_scratch, Engine, FtPolicy};
+use super::engine::{with_pred_scratch, Engine, FtPolicy, MAX_INLINE_CHAIN};
 use super::ft::FtRecovery;
 use crate::fault::Fault;
 use crate::graph::Key;
@@ -113,7 +113,7 @@ impl Engine<FtRecovery> {
                     // Recovered incarnations keep their key's priority, so
                     // a hard task's recovery also jumps the queue.
                     s.spawn_with(self.prio_of(key), move |s| {
-                        this.init_and_compute(s, t, key, life)
+                        this.init_and_compute(s, t, key, life, 0)
                     });
                     return;
                 }
@@ -229,7 +229,10 @@ impl Engine<FtRecovery> {
             Ok(())
         })();
         match attempt {
-            Ok(()) => self.init_and_compute(s, a, key, life),
+            // No inline budget: re-exploration spawns every predecessor
+            // visit, because this runs inside a compute's catch block,
+            // possibly deep in an inline nest already.
+            Ok(()) => self.init_and_compute(s, a, key, life, MAX_INLINE_CHAIN),
             Err(f) => {
                 self.policy.emit(
                     s.worker_index(),

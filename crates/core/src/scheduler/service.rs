@@ -206,7 +206,7 @@ impl<'e> GraphService<'e> {
             };
             let prio = this.prio_of(sink);
             let engine = Arc::clone(&this);
-            s.spawn_with(prio, move |s| engine.init_and_compute(s, sd, sink, life));
+            s.spawn_with(prio, move |s| engine.init_and_compute(s, sd, sink, life, 0));
         });
 
         let shared = Arc::clone(&self.shared);

@@ -17,12 +17,20 @@
 //! assertion rather than a flaky one. The multithreaded pool variant
 //! pins the scheduler-free spawn/steal machinery at exactly **zero**
 //! steady-state allocations.
+//!
+//! Only *enrolled* threads are counted: a thread opts in through a
+//! thread-local flag (the measuring test thread for the duration of its
+//! counting window, pool workers explicitly via [`enroll_workers`]). A
+//! process-global switch alone would also count whatever the libtest
+//! harness and other test threads allocate inside the window, which made
+//! the zero-allocation assertions flaky.
 
 use ft_det::DetPool;
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
 use nabbit_ft::scheduler::{BaselineScheduler, FtScheduler};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,17 +39,28 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
+thread_local! {
+    /// Whether this thread's allocations count while `COUNTING` is on.
+    /// `const`-initialized and drop-free, so reading it from inside the
+    /// allocator never allocates or touches a destroyed slot.
+    static ENROLLED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count one allocation if a counting window is open and the calling
+/// thread is enrolled.
+fn note_alloc() {
+    if COUNTING.load(Ordering::Relaxed) && ENROLLED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -111,12 +130,57 @@ impl TaskGraph for Grid {
 /// so a concurrently running test would pollute a counting window.
 static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Allocations made by enrolled threads while `f` runs; the calling
+/// thread is enrolled for the duration.
 fn count_allocs(f: impl FnOnce()) -> u64 {
+    ENROLLED.with(|e| e.set(true));
     let before = ALLOCS.load(Ordering::Relaxed);
     COUNTING.store(true, Ordering::SeqCst);
     f();
     COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::Relaxed) - before
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    ENROLLED.with(|e| e.set(false));
+    allocs
+}
+
+/// Jobs submitted while every worker is held in [`enroll_workers`]: eight
+/// injector blocks (31 slots each), twice the injector's four-block cache.
+const HELD_BURST: usize = 8 * 31;
+
+/// Enroll every worker of `pool` for allocation counting, and fill the
+/// pool's injector block cache.
+///
+/// One job per worker enrolls its thread and then holds it at a barrier,
+/// so no worker can take two of them. While every worker is held, this
+/// thread submits [`HELD_BURST`] no-op jobs. They pile up in the injector,
+/// so its block chain grows past the cache capacity. Once released, the
+/// workers drain the burst and the retired blocks fill the block cache.
+/// Steady-state rounds (≤ 2 block installs between quiescent points)
+/// then always find a cached block. Without the burst, the number of
+/// blocks warm-up leaves behind depends on how far the consumers happened
+/// to lag the producer, and one preempted worker during a counted round
+/// could force a fresh block.
+fn enroll_workers(pool: &ft_steal::pool::Pool) {
+    use std::sync::Barrier;
+
+    let workers = pool.num_threads();
+    let held = Arc::new(Barrier::new(workers + 1));
+    let release = Arc::new(Barrier::new(workers + 1));
+    pool.run_until_complete(|s| {
+        for _ in 0..workers {
+            let (held, release) = (Arc::clone(&held), Arc::clone(&release));
+            s.spawn(move |_| {
+                ENROLLED.with(|e| e.set(true));
+                held.wait();
+                release.wait();
+            });
+        }
+        held.wait();
+        for _ in 0..HELD_BURST {
+            s.spawn(|_| {});
+        }
+        release.wait();
+    });
 }
 
 fn run_baseline(n: i64) -> u64 {
@@ -396,6 +460,7 @@ fn pool_steady_state_allocates_nothing() {
 
     let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pool = Pool::new(PoolConfig::with_threads(2));
+    enroll_workers(&pool);
     let hits = Arc::new(AtomicU64::new(0));
 
     // One round, two shapes. First the original mix: the root fans out 32
@@ -437,11 +502,11 @@ fn pool_steady_state_allocates_nothing() {
         }));
     };
 
-    // Warm-up: lets every worker grow its deque, fault in TLS, and fill
-    // the injector's block cache. The injector index advances 32 slots
-    // per round over 31-slot blocks, so the block-boundary phase cycles
-    // with period 31 rounds; two full cycles guarantee every alignment
-    // (hence the block-chain high-water mark) is reached before counting.
+    // Warm-up: lets every worker grow its deque and fault in TLS (the
+    // injector's block cache is already full, see `enroll_workers`). The
+    // injector index advances 40 slots per round over 31-slot blocks, so
+    // the block-boundary phase cycles with period 31 rounds; two full
+    // cycles reach every alignment before counting.
     for _ in 0..62 {
         round(&pool, &hits);
     }
