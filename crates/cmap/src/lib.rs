@@ -16,10 +16,13 @@
 //! `get`/`contains` are lock-free optimistic reads (probe the atomically
 //! published table, validate a per-shard sequence counter, retry only on
 //! writer interference), while writers serialize on a per-shard mutex and
-//! bump the sequence around mutation. The map stores values by value; the
-//! scheduler stores `Arc<TaskDesc>`, matching the paper's "the hash map
-//! stores the pointers to the tasks and not the tasks themselves" — so a
-//! validated read is one probe plus one `Arc` clone, no lock traffic.
+//! bump the sequence around mutation. Values are word-sized `Copy` values
+//! ([`Word`]) stored inline in the slot; the scheduler stores arena handles
+//! to its descriptors, matching the paper's "the hash map stores the
+//! pointers to the tasks and not the tasks themselves" — so an insert
+//! allocates nothing and a validated read is one probe, no lock traffic
+//! and no refcount. Shards are cache-line padded, and the default shard
+//! count reads the core count once per process.
 //!
 //! [`LockedMap`] preserves the previous `RwLock`-striped implementation as
 //! the ablation baseline the lock-free read path is measured against.
@@ -35,5 +38,6 @@
 pub mod locked;
 pub mod map;
 
+pub use ft_sync::Word;
 pub use locked::LockedMap;
 pub use map::{MapStats, ShardedMap};

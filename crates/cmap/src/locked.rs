@@ -130,10 +130,7 @@ impl<V: Clone> Default for LockedMap<V> {
 impl<V: Clone> LockedMap<V> {
     /// Map with a default shard count (4× available cores, power of two).
     pub fn new() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(8);
-        Self::with_shards((cores * 4).next_power_of_two())
+        Self::with_shards(crate::map::default_shards())
     }
 
     /// Map with an explicit shard count (rounded up to a power of two).

@@ -1,39 +1,44 @@
 //! Sharded concurrent hash map with lock-free reads.
 //!
-//! Keys are `i64` task keys (the paper fixes `int64_t` keys); values are any
-//! `Clone` type — the scheduler stores `Arc`s. Each shard is an open
-//! hash table (linear probing, tombstone-less rebuild on growth) with a
-//! **seqlock read path**: readers never take a lock. A shard consists of
+//! Keys are `i64` task keys (the paper fixes `int64_t` keys); values are
+//! word-sized `Copy` values ([`Word`]) — the scheduler stores `ArenaRef`
+//! descriptor handles, the recovery table stores life numbers. Each shard
+//! is an open hash table (linear probing, tombstone-less rebuild on growth)
+//! with a **seqlock read path**: readers never take a lock. A shard
+//! consists of
 //!
 //! * an atomically published pointer to the current probe table,
 //! * a sequence counter (even = stable, odd = writer mutating), and
-//! * a `Mutex` serializing writers.
+//! * a `Mutex` serializing writers,
 //!
-//! Every table slot stores its key in an `AtomicI64` and its value behind
-//! an `AtomicPtr` to a heap box (`null` = empty), so a concurrent reader
-//! only ever performs atomic loads — there is no torn data to observe.
-//! `get`/`contains` probe optimistically, then validate that the sequence
-//! counter did not move during the probe; on writer interference they
-//! retry, and after a few failed attempts fall back to the writer lock
-//! (bounded, so readers cannot livelock behind a write storm). A validated
-//! hit clones the value through the still-live box without ever touching a
-//! lock — in the scheduler's case, one `Arc` refcount increment.
+//! padded to its own cache lines so that two shards never share one.
 //!
-//! **Memory reclamation** is deferred: a displaced value box (from
-//! `replace`/`update_cas`/`clear`) and a superseded probe table (from
-//! growth) are *retired* to per-shard lists and freed only when the map is
-//! dropped, never while a reader could still hold the pointer. That makes
-//! pointer dereference after sequence validation sound without epochs or
-//! hazard pointers. The scheduler displaces a descriptor only on recovery,
-//! so retained garbage is O(#faults) boxes plus O(log n) tables — see
-//! "Hot-path anatomy & lock-freedom" in `docs/ALGORITHM.md`.
+//! Every table slot stores its key, its value word and an occupied flag in
+//! atomics, so a concurrent reader only ever performs atomic loads — there
+//! is no torn data to observe and nothing to dereference. `get`/`contains`
+//! probe optimistically, then validate that the sequence counter did not
+//! move during the probe; on writer interference they retry, and after a
+//! few failed attempts fall back to the writer lock (bounded, so readers
+//! cannot livelock behind a write storm). A validated hit is the value
+//! word itself: no allocation per insert, no clone through a pointer.
+//!
+//! **Memory reclamation** is deferred for probe tables only: a table
+//! superseded by growth is *retired* to a per-shard list and freed when
+//! the map is dropped, never while a reader could still hold the pointer.
+//! That makes dereferencing the table pointer after sequence validation
+//! sound without epochs or hazard pointers; retained garbage is O(log n)
+//! tables per shard — see "Hot-path anatomy & lock-freedom" in
+//! `docs/ALGORITHM.md`.
 //!
 //! The shard for a key is selected by a Fibonacci-hash of the key, which
 //! also serves as the in-shard probe start; shard selection uses the high
 //! bits and probing the low bits so the two are decorrelated.
 
-use ft_sync::atomic::{fence, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use ft_sync::atomic::{fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use ft_sync::Word;
 use parking_lot::Mutex;
+use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// Multiplicative (Fibonacci) hash constant, 2^64 / φ.
 const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -46,30 +51,47 @@ fn hash_key(key: i64) -> u64 {
     (key as u64).wrapping_mul(HASH_K)
 }
 
-/// One slot of a probe table. `val == null` means empty; once non-null the
-/// key is immutable and the value pointer changes only under the shard's
-/// write protocol (sequence bump around the swap).
-struct Slot<V> {
+/// Default shard count of [`ShardedMap::new`] and
+/// [`LockedMap::new`](crate::LockedMap::new): 4× the available cores,
+/// rounded up to a power of two. The core count is read once per process —
+/// `available_parallelism` reads cgroup files, which would otherwise cost
+/// more than building a small map.
+pub(crate) fn default_shards() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(8)
+    });
+    (cores * 4).next_power_of_two()
+}
+
+/// One slot of a probe table. `full == false` means empty; once full the
+/// key is immutable and the value word changes only under the shard's
+/// write protocol (sequence bump around the store).
+struct Slot {
     key: AtomicI64,
-    val: AtomicPtr<V>,
+    val: AtomicU64,
+    full: AtomicBool,
 }
 
 /// An immutable-capacity probe table. Replaced wholesale on growth; the
 /// superseded table is retired, never freed mid-run, so a reader holding a
 /// stale table pointer can still probe it safely (and will then fail
 /// sequence validation).
-struct Table<V> {
+struct Table {
     mask: usize,
-    slots: Box<[Slot<V>]>,
+    slots: Box<[Slot]>,
 }
 
-impl<V> Table<V> {
+impl Table {
     fn new_boxed(cap: usize) -> Box<Self> {
         debug_assert!(cap.is_power_of_two());
         let slots = (0..cap)
             .map(|_| Slot {
                 key: AtomicI64::new(0),
-                val: AtomicPtr::new(std::ptr::null_mut()),
+                val: AtomicU64::new(0),
+                full: AtomicBool::new(false),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -81,47 +103,45 @@ impl<V> Table<V> {
 }
 
 /// Writer-side shard state, serialized by the shard mutex.
-struct WriterState<V> {
+struct WriterState {
     len: usize,
-    /// Probe tables superseded by growth; freed on map drop. Their slots
-    /// alias value boxes owned by the current table, so dropping them frees
-    /// only the table structure.
-    retired_tables: Vec<*mut Table<V>>,
-    /// Value boxes displaced by `replace`/`update_cas`/`clear`; freed on
-    /// map drop (a reader may still be cloning through the pointer).
-    retired_vals: Vec<*mut V>,
+    /// Probe tables superseded by growth; freed on map drop (a reader may
+    /// still be probing one).
+    retired_tables: Vec<*mut Table>,
 }
 
-/// A single shard.
-struct Shard<V> {
+/// A single shard, aligned to 128 bytes (the alignment of
+/// `ft_steal`'s `CachePadded`) so that the sequence counter and writer
+/// lock of neighbouring shards never share a cache line or an adjacent-
+/// line prefetch pair.
+#[repr(align(128))]
+struct Shard {
     /// Seqlock counter: even = stable, odd = a writer is mutating.
     seq: AtomicU64,
     /// Current probe table, swapped on growth.
-    table: AtomicPtr<Table<V>>,
-    writer: Mutex<WriterState<V>>,
+    table: AtomicPtr<Table>,
+    writer: Mutex<WriterState>,
 }
 
-// SAFETY: owned value boxes and retired garbage are dropped from whichever
-// thread drops the map (`V: Send`); the raw pointers in `WriterState`/`table`
-// are owned by the shard and follow the retire-until-drop protocol
-// documented above, so moving the shard between threads transfers sole
+// SAFETY: the raw table pointers in `WriterState`/`table` are owned by the
+// shard and follow the retire-until-drop protocol documented above; tables
+// hold only atomics, so moving the shard between threads transfers sole
 // ownership of every allocation it frees.
-unsafe impl<V: Send + Sync> Send for Shard<V> {}
-// SAFETY: values are shared by reference with concurrent readers
-// (`V: Sync`), all shared shard state is atomics or the writer mutex, and
-// retired allocations stay live until drop — so `&Shard` used from many
-// threads never yields a dangling or aliased-mutable access.
-unsafe impl<V: Send + Sync> Sync for Shard<V> {}
+unsafe impl Send for Shard {}
+// SAFETY: all shared shard state is atomics or the writer mutex, and
+// retired tables stay live until drop — so `&Shard` used from many threads
+// never yields a dangling or aliased-mutable access.
+unsafe impl Sync for Shard {}
 
 /// Outcome of one optimistic probe attempt.
-enum Probe<V> {
-    /// Validated: the key maps to this live value pointer (or a miss).
-    Valid(Option<*const V>),
+enum Probe {
+    /// Validated: the key maps to this value word (or a miss).
+    Valid(Option<u64>),
     /// A writer moved the sequence during the probe; retry.
     Interference,
 }
 
-impl<V: Clone> Shard<V> {
+impl Shard {
     fn new(cap: usize) -> Self {
         Shard {
             seq: AtomicU64::new(0),
@@ -129,7 +149,6 @@ impl<V: Clone> Shard<V> {
             writer: Mutex::new(WriterState {
                 len: 0,
                 retired_tables: Vec::new(),
-                retired_vals: Vec::new(),
             }),
         }
     }
@@ -161,7 +180,7 @@ impl<V: Clone> Shard<V> {
 
     /// One optimistic, lock-free probe: read the published table, probe,
     /// then validate that no writer interfered.
-    fn try_read(&self, key: i64) -> Probe<V> {
+    fn try_read(&self, key: i64) -> Probe {
         // ord: Acquire — pairs with the Release in `write_end`: an even s1
         // guarantees the probe sees a table state no older than that write.
         let s1 = self.seq.load(Ordering::Acquire);
@@ -177,22 +196,23 @@ impl<V: Clone> Shard<V> {
         let t = unsafe { &*table };
         let mask = t.mask;
         let mut i = (hash_key(key) as usize) & mask;
-        let mut found: Option<*const V> = None;
+        let mut found: Option<u64> = None;
         // Bounded probe: a consistent table has load factor < 0.7, so a
         // full sweep without an empty slot can only mean interference.
         for _ in 0..=mask {
             let slot = &t.slots[i];
-            // ord: Acquire — pairs with the Release in `publish_insert`/
-            // `swap_value`: a non-null pointer implies the pointee and the
-            // slot's key store are visible.
-            let p = slot.val.load(Ordering::Acquire);
-            if p.is_null() {
+            // ord: Acquire — pairs with the Release in `publish_insert`: a
+            // full slot implies its key and first value are visible.
+            if !slot.full.load(Ordering::Acquire) {
                 break; // empty slot terminates the probe chain
             }
-            // ord: Relaxed — the Acquire load of `val` above already orders
-            // the key store (keys are written before the value pointer).
+            // ord: Relaxed — the Acquire load of `full` above already
+            // orders the key store (keys are written before the flag).
             if slot.key.load(Ordering::Relaxed) == key {
-                found = Some(p as *const V);
+                // ord: Acquire — pairs with the Release value store in
+                // `store_value`: whatever a replaced handle points to was
+                // written before the handle, and is visible after it.
+                found = Some(slot.val.load(Ordering::Acquire));
                 break;
             }
             i = (i + 1) & mask;
@@ -210,16 +230,13 @@ impl<V: Clone> Shard<V> {
         }
     }
 
-    /// Lock-free read; falls back to the writer lock after repeated
-    /// interference so readers cannot starve behind a write storm.
-    fn read(&self, key: i64) -> Option<V> {
+    /// Lock-free read of `key`'s value word; falls back to the writer lock
+    /// after repeated interference so readers cannot starve behind a write
+    /// storm.
+    fn read(&self, key: i64) -> Option<u64> {
         for _ in 0..OPTIMISTIC_TRIES {
             match self.try_read(key) {
-                // SAFETY: a validated pointer is live (boxes are retired,
-                // not freed) and its pointee is never mutated in place.
-                // ft-lint: allow(L9) the map stores values by value; a
-                // validated read must copy out before the box is retired.
-                Probe::Valid(found) => return found.map(|p| unsafe { (*p).clone() }),
+                Probe::Valid(found) => return found,
                 Probe::Interference => std::hint::spin_loop(),
             }
         }
@@ -232,23 +249,28 @@ impl<V: Clone> Shard<V> {
         // the previous holder's swap.
         let t = unsafe { &*self.table.load(Ordering::Relaxed) };
         self.probe_locked(t, key)
-            // SAFETY: `probe_locked` returned an occupied slot and the lock
-            // blocks any writer from displacing its value box.
             // ord: Relaxed — lock-serialized; see above.
-            // ft-lint: allow(L9) value copy-out, same as the lock-free arm.
-            .map(|i| unsafe { (*t.slots[i].val.load(Ordering::Relaxed)).clone() })
+            .map(|i| t.slots[i].val.load(Ordering::Relaxed))
     }
 
     // ft-lint: hot-path end(map-read)
 
+    /// The current table. Caller must hold the writer lock (or `&mut`).
+    fn locked_table(&self) -> &Table {
+        // SAFETY: writer lock held — the table pointer is stable and live
+        // (tables are only swapped, and retired ones freed, under it).
+        // ord: Relaxed — the lock orders the load against the last swap.
+        unsafe { &*self.table.load(Ordering::Relaxed) }
+    }
+
     /// Probe under the writer lock. Returns the slot index of `key`.
-    fn probe_locked(&self, t: &Table<V>, key: i64) -> Option<usize> {
+    fn probe_locked(&self, t: &Table, key: i64) -> Option<usize> {
         let mut i = (hash_key(key) as usize) & t.mask;
         loop {
             let slot = &t.slots[i];
             // ord: Relaxed — caller holds the writer lock, which serializes
             // every mutation of the slots.
-            if slot.val.load(Ordering::Relaxed).is_null() {
+            if !slot.full.load(Ordering::Relaxed) {
                 return None;
             }
             // ord: Relaxed — lock-serialized, as above.
@@ -259,34 +281,47 @@ impl<V: Clone> Shard<V> {
         }
     }
 
-    /// First empty slot on `key`'s probe chain. Caller must hold the lock
-    /// and have verified the key is absent.
-    fn find_empty(&self, t: &Table<V>, key: i64) -> usize {
+    /// Publish `(key, word)` into the first empty slot of `key`'s probe
+    /// chain, growing the table first if needed. Caller must hold the lock
+    /// and have verified the key is absent. No sequence bump needed:
+    /// concurrent readers either see the empty flag (miss, linearized
+    /// before) or the full slot (hit) — both are consistent states.
+    fn publish_insert(&self, w: &mut WriterState, key: i64, word: u64) {
+        // SAFETY: `grow_if_needed` returns the current table, live while
+        // the lock is held.
+        let t = unsafe { &*self.grow_if_needed(w) };
         let mut i = (hash_key(key) as usize) & t.mask;
         // ord: Relaxed — caller holds the writer lock; see `probe_locked`.
-        while !t.slots[i].val.load(Ordering::Relaxed).is_null() {
+        while t.slots[i].full.load(Ordering::Relaxed) {
             i = (i + 1) & t.mask;
         }
-        i
+        let slot = &t.slots[i];
+        // ord: Relaxed — both ordered by the Release store of `full`.
+        slot.key.store(key, Ordering::Relaxed);
+        slot.val.store(word, Ordering::Relaxed);
+        // ord: Release — the key and value stores above (and whatever a
+        // handle value points to) are visible to any reader that
+        // Acquire-loads this flag.
+        slot.full.store(true, Ordering::Release);
+        w.len += 1;
     }
 
-    /// Publish `(key, boxed)` into an empty slot. No sequence bump needed:
-    /// concurrent readers either see the null (miss, linearized before) or
-    /// the full slot (hit) — both are consistent states.
-    fn publish_insert(&self, t: &Table<V>, key: i64, boxed: *mut V) {
-        let i = self.find_empty(t, key);
-        // ord: Relaxed — ordered by the Release store of `val` below.
-        t.slots[i].key.store(key, Ordering::Relaxed);
-        // ord: Release — the key store above and the boxed value are
-        // visible to any reader that Acquire-loads this value pointer.
-        t.slots[i].val.store(boxed, Ordering::Release);
+    /// Overwrite the value word of an occupied slot under a write window,
+    /// returning the displaced word. Caller must hold the lock.
+    fn store_value(&self, t: &Table, i: usize, word: u64) -> u64 {
+        self.write_begin();
+        // ord: Release — whatever the new handle points to is visible to
+        // any reader that Acquire-loads this word in `try_read`.
+        let old = t.slots[i].val.swap(word, Ordering::Release);
+        self.write_end();
+        old
     }
 
     /// Grow (double) the table if the load factor reached 0.7, publishing
     /// the new table under a write window. Caller must hold the lock.
     ///
     /// Returns the current table.
-    fn grow_if_needed(&self, w: &mut WriterState<V>) -> *mut Table<V> {
+    fn grow_if_needed(&self, w: &mut WriterState) -> *mut Table {
         // ord: Relaxed — caller holds the writer lock, which serializes
         // every table swap.
         let old_ptr = self.table.load(Ordering::Relaxed);
@@ -297,26 +332,28 @@ impl<V: Clone> Shard<V> {
         if w.len * 10 < cap * 7 {
             return old_ptr;
         }
-        let new = Table::<V>::new_boxed(cap * 2);
+        let new = Table::new_boxed(cap * 2);
         for slot in old.slots.iter() {
             // ord: Relaxed — old-table reads are lock-serialized and the
             // new table is private until published: no reader can see
             // these loads or the stores below out of order.
-            let p = slot.val.load(Ordering::Relaxed);
-            if p.is_null() {
+            if !slot.full.load(Ordering::Relaxed) {
                 continue;
             }
             // ord: Relaxed — lock-serialized old-table read, as above.
             let k = slot.key.load(Ordering::Relaxed);
             let mut i = (hash_key(k) as usize) & new.mask;
             // ord: Relaxed — the new table is private until published.
-            while !new.slots[i].val.load(Ordering::Relaxed).is_null() {
+            while new.slots[i].full.load(Ordering::Relaxed) {
                 i = (i + 1) & new.mask;
             }
+            let dst = &new.slots[i];
             // ord: Relaxed — private table; the Release publication of
             // `table` below makes these stores visible to readers.
-            new.slots[i].key.store(k, Ordering::Relaxed);
-            new.slots[i].val.store(p, Ordering::Relaxed);
+            let v = slot.val.load(Ordering::Relaxed);
+            dst.key.store(k, Ordering::Relaxed);
+            dst.val.store(v, Ordering::Relaxed);
+            dst.full.store(true, Ordering::Relaxed);
         }
         let new_ptr = Box::into_raw(new);
         self.write_begin();
@@ -327,48 +364,19 @@ impl<V: Clone> Shard<V> {
         w.retired_tables.push(old_ptr);
         new_ptr
     }
-
-    /// Swap the value pointer of an occupied slot under a write window,
-    /// retiring the displaced box. Caller must hold the lock.
-    fn swap_value(&self, t: &Table<V>, i: usize, boxed: *mut V, w: &mut WriterState<V>) -> *mut V {
-        // ord: Relaxed — caller holds the writer lock; see `probe_locked`.
-        let old = t.slots[i].val.load(Ordering::Relaxed);
-        self.write_begin();
-        // ord: Release — the new box's contents are visible to any reader
-        // that Acquire-loads this pointer in `try_read`.
-        t.slots[i].val.store(boxed, Ordering::Release);
-        self.write_end();
-        w.retired_vals.push(old);
-        old
-    }
 }
 
-impl<V> Drop for Shard<V> {
+impl Drop for Shard {
     fn drop(&mut self) {
         let w = self.writer.get_mut();
         // ord: Relaxed — `&mut self` proves exclusivity; every reader and
         // writer synchronized-with this thread before the drop.
         let t = self.table.load(Ordering::Relaxed);
-        // SAFETY: exclusive access (`&mut self`). The current table owns the
-        // live value boxes; `retired_vals` owns displaced boxes; retired
-        // tables alias boxes already freed via one of the former two, so
-        // only their table structure is freed — every allocation exactly
-        // once.
+        // SAFETY: exclusive access (`&mut self`). The current table and
+        // each retired table came from `Box::into_raw` and are owned only
+        // here — every allocation is freed exactly once.
         unsafe {
-            // Live values are owned by the current table.
-            for slot in (*t).slots.iter() {
-                // ord: Relaxed — exclusive access, as above.
-                let p = slot.val.load(Ordering::Relaxed);
-                if !p.is_null() {
-                    drop(Box::from_raw(p));
-                }
-            }
             drop(Box::from_raw(t));
-            for &p in &w.retired_vals {
-                drop(Box::from_raw(p));
-            }
-            // Retired tables alias value boxes already freed above or in
-            // retired_vals: free only the table structure.
             for &tp in &w.retired_tables {
                 drop(Box::from_raw(tp));
             }
@@ -376,11 +384,14 @@ impl<V> Drop for Shard<V> {
     }
 }
 
-/// A sharded concurrent hash map from `i64` task keys to `V`, with
-/// lock-free (seqlock-validated) reads.
+/// A sharded concurrent hash map from `i64` task keys to word-sized
+/// values, with lock-free (seqlock-validated) reads.
 pub struct ShardedMap<V> {
-    shards: Vec<Shard<V>>,
+    shards: Box<[Shard]>,
     shift: u32,
+    /// Values move between threads by copy, so the map is `Send` and
+    /// `Sync` exactly when `V: Send` — the auto traits of `Mutex<V>`.
+    _values: PhantomData<std::sync::Mutex<V>>,
 }
 
 impl<V> std::fmt::Debug for ShardedMap<V> {
@@ -402,21 +413,18 @@ pub struct MapStats {
     pub max_shard_len: usize,
 }
 
-impl<V: Clone> Default for ShardedMap<V> {
+impl<V: Word> Default for ShardedMap<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V: Clone> ShardedMap<V> {
+impl<V: Word> ShardedMap<V> {
     /// Map with a default shard count (4× available cores, rounded up to a
     /// power of two) — enough striping that the scheduler's task map is not
     /// a bottleneck at full core count.
     pub fn new() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(8);
-        Self::with_shards((cores * 4).next_power_of_two())
+        Self::with_shards(default_shards())
     }
 
     /// Map with an explicit shard count (rounded up to a power of two).
@@ -425,11 +433,12 @@ impl<V: Clone> ShardedMap<V> {
         ShardedMap {
             shards: (0..shards).map(|_| Shard::new(64)).collect(),
             shift: 64 - shards.trailing_zeros(),
+            _values: PhantomData,
         }
     }
 
     #[inline]
-    fn shard_for(&self, key: i64) -> &Shard<V> {
+    fn shard_for(&self, key: i64) -> &Shard {
         // High bits pick the shard; low bits drive in-shard probing.
         let idx = if self.shards.len() == 1 {
             0
@@ -439,72 +448,48 @@ impl<V: Clone> ShardedMap<V> {
         &self.shards[idx]
     }
 
+    /// Decode a word this map stored.
+    #[inline]
+    fn decode(w: u64) -> V {
+        // SAFETY: every word in a slot came from `V::to_word` of a value
+        // handed to this map, so this rebuilds that same value.
+        unsafe { V::from_word(w) }
+    }
+
     /// `InsertTaskIfAbsent`: atomically insert `make()` under `key` if no
-    /// entry exists. Returns `true` if this call inserted. `make` runs
-    /// under the shard lock only when an insert actually happens.
+    /// entry exists. Returns `true` if this call inserted. A key already
+    /// present is detected lock-free; `make` runs under the shard lock only
+    /// when an insert actually happens.
     pub fn insert_if_absent(&self, key: i64, make: impl FnOnce() -> V) -> bool {
         let shard = self.shard_for(key);
+        if let Probe::Valid(Some(_)) = shard.try_read(key) {
+            return false; // keys are never removed mid-run
+        }
         let mut w = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-        if shard.probe_locked(t, key).is_some() {
+        if shard.probe_locked(shard.locked_table(), key).is_some() {
             return false;
         }
-        // SAFETY: `grow_if_needed` returns the (possibly new) current
-        // table, live for at least as long as the lock is held.
-        let t = unsafe { &*shard.grow_if_needed(&mut w) };
-        let boxed = Box::into_raw(Box::new(make()));
-        shard.publish_insert(t, key, boxed);
-        w.len += 1;
+        shard.publish_insert(&mut w, key, make().to_word());
         true
     }
 
-    /// `GetTask`: clone out the current value for `key`. Lock-free: probes
-    /// the published table and validates the shard sequence; only falls
-    /// back to the shard lock after repeated writer interference.
+    /// `GetTask`: the current value for `key`. Lock-free: probes the
+    /// published table and validates the shard sequence; only falls back
+    /// to the shard lock after repeated writer interference.
     pub fn get(&self, key: i64) -> Option<V> {
-        self.shard_for(key).read(key)
+        self.shard_for(key).read(key).map(Self::decode)
     }
 
     /// True if the map has an entry for `key`. Same lock-free path as
-    /// [`ShardedMap::get`] without cloning the value.
+    /// [`ShardedMap::get`].
     pub fn contains(&self, key: i64) -> bool {
-        let shard = self.shard_for(key);
-        for _ in 0..OPTIMISTIC_TRIES {
-            match shard.try_read(key) {
-                Probe::Valid(found) => return found.is_some(),
-                Probe::Interference => std::hint::spin_loop(),
-            }
-        }
-        let _guard = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-        shard.probe_locked(t, key).is_some()
+        self.shard_for(key).read(key).is_some()
     }
 
     /// `ReplaceTask`: insert or overwrite the value under `key`, returning
     /// the previous value if any.
     pub fn replace(&self, key: i64, value: V) -> Option<V> {
-        let shard = self.shard_for(key);
-        let mut w = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-        if let Some(i) = shard.probe_locked(t, key) {
-            let boxed = Box::into_raw(Box::new(value));
-            let old = shard.swap_value(t, i, boxed, &mut w);
-            // SAFETY: the displaced box was retired, not freed (a reader
-            // may be cloning it), so it stays dereferenceable here.
-            return Some(unsafe { (*old).clone() });
-        }
-        // SAFETY: `grow_if_needed` returns the current table, live while
-        // the lock is held.
-        let t = unsafe { &*shard.grow_if_needed(&mut w) };
-        shard.publish_insert(t, key, Box::into_raw(Box::new(value)));
-        w.len += 1;
-        None
+        self.update_cas(key, |cur| (Some(value), cur.copied()))
     }
 
     /// Atomically read-modify-write the entry for `key`.
@@ -516,33 +501,17 @@ impl<V: Clone> ShardedMap<V> {
     pub fn update_cas<R>(&self, key: i64, f: impl FnOnce(Option<&V>) -> (Option<V>, R)) -> R {
         let shard = self.shard_for(key);
         let mut w = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
+        let t = shard.locked_table();
         let slot = shard.probe_locked(t, key);
-        let (new, ret) = match slot {
-            Some(i) => {
-                // SAFETY: occupied slot and the lock blocks displacement of
-                // its value box while `cur` is borrowed.
-                // ord: Relaxed — lock-serialized, as above.
-                let cur = unsafe { &*t.slots[i].val.load(Ordering::Relaxed) };
-                f(Some(cur))
-            }
-            None => f(None),
-        };
+        // ord: Relaxed — lock-serialized slot read.
+        let cur = slot.map(|i| Self::decode(t.slots[i].val.load(Ordering::Relaxed)));
+        let (new, ret) = f(cur.as_ref());
         if let Some(v) = new {
-            let boxed = Box::into_raw(Box::new(v));
             match slot {
                 Some(i) => {
-                    shard.swap_value(t, i, boxed, &mut w);
+                    shard.store_value(t, i, v.to_word());
                 }
-                None => {
-                    // SAFETY: `grow_if_needed` returns the current table,
-                    // live while the lock is held.
-                    let t = unsafe { &*shard.grow_if_needed(&mut w) };
-                    shard.publish_insert(t, key, boxed);
-                    w.len += 1;
-                }
+                None => shard.publish_insert(&mut w, key, v.to_word()),
             }
         }
         ret
@@ -568,52 +537,44 @@ impl<V: Clone> ShardedMap<V> {
         }
     }
 
-    /// Remove all entries, retaining shard capacity. Displaced value boxes
-    /// are retired, not freed (a concurrent reader may hold them).
+    /// Remove all entries, retaining shard capacity.
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let mut w = shard.writer.lock();
-            // SAFETY: writer lock held — table pointer stable and live.
-            // ord: Relaxed — lock-ordered, as in `insert_if_absent`.
-            let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
+            let t = shard.locked_table();
             shard.write_begin();
             for slot in t.slots.iter() {
                 // ord: Relaxed — inside a write window: readers that
                 // overlap these stores fail sequence validation, so only
                 // the window's Release edges need ordering.
-                let p = slot.val.load(Ordering::Relaxed);
-                if !p.is_null() {
-                    // ord: Relaxed — inside the write window, as above.
-                    slot.val.store(std::ptr::null_mut(), Ordering::Relaxed);
-                    w.retired_vals.push(p);
-                }
+                slot.full.store(false, Ordering::Relaxed);
             }
             shard.write_end();
             w.len = 0;
         }
     }
 
-    /// Snapshot of all `(key, value)` pairs. Not atomic across shards; used
-    /// only after quiescence (metrics, verification).
-    pub fn entries(&self) -> Vec<(i64, V)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
+    /// Call `f(key, value)` for every entry, one shard lock at a time. Not
+    /// atomic across shards; used after quiescence (metrics, verification).
+    pub fn for_each(&self, mut f: impl FnMut(i64, V)) {
+        for shard in self.shards.iter() {
             let _guard = shard.writer.lock();
-            // SAFETY: writer lock held — table pointer stable and live.
-            // ord: Relaxed — lock-ordered, as in `insert_if_absent`.
-            let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-            for slot in t.slots.iter() {
+            for slot in shard.locked_table().slots.iter() {
                 // ord: Relaxed — slot reads are lock-serialized here.
-                let p = slot.val.load(Ordering::Relaxed);
-                if !p.is_null() {
-                    // ord: Relaxed — lock-serialized slot read, as above.
+                if slot.full.load(Ordering::Relaxed) {
+                    // ord: Relaxed — lock-serialized slot reads, as above.
                     let k = slot.key.load(Ordering::Relaxed);
-                    // SAFETY: occupied slot; the lock blocks displacement
-                    // of the box while we clone through it.
-                    out.push((k, unsafe { (*p).clone() }));
+                    let w = slot.val.load(Ordering::Relaxed);
+                    f(k, Self::decode(w));
                 }
             }
         }
+    }
+
+    /// Snapshot of all `(key, value)` pairs (see [`ShardedMap::for_each`]).
+    pub fn entries(&self) -> Vec<(i64, V)> {
+        let mut out = Vec::new();
+        self.for_each(|k, v| out.push((k, v)));
         out
     }
 }
@@ -627,13 +588,13 @@ mod tests {
 
     #[test]
     fn insert_get_replace() {
-        let m = ShardedMap::with_shards(4);
-        assert!(m.insert_if_absent(1, || "a"));
-        assert!(!m.insert_if_absent(1, || "b"));
-        assert_eq!(m.get(1), Some("a"));
-        assert_eq!(m.replace(1, "c"), Some("a"));
-        assert_eq!(m.get(1), Some("c"));
-        assert_eq!(m.replace(2, "d"), None);
+        let m: ShardedMap<u64> = ShardedMap::with_shards(4);
+        assert!(m.insert_if_absent(1, || 10));
+        assert!(!m.insert_if_absent(1, || 11));
+        assert_eq!(m.get(1), Some(10));
+        assert_eq!(m.replace(1, 12), Some(10));
+        assert_eq!(m.get(1), Some(12));
+        assert_eq!(m.replace(2, 13), None);
         assert_eq!(m.len(), 2);
     }
 
@@ -866,21 +827,31 @@ mod tests {
 
     #[test]
     fn drop_frees_retired_garbage_exactly_once() {
-        // Arc values: every clone handed out plus every retired box must be
-        // accounted for — strong count returns to 1 at the end.
-        let probe = Arc::new(());
-        {
-            let m: ShardedMap<Arc<()>> = ShardedMap::with_shards(1);
-            for k in 0..500 {
-                m.insert_if_absent(k, || Arc::clone(&probe));
-            }
-            for k in 0..500 {
-                m.replace(k, Arc::clone(&probe)); // retires 500 boxes
-                drop(m.get(k));
-            }
-            m.clear(); // retires the rest
-            assert_eq!(Arc::strong_count(&probe), 1 + 1000);
+        // Values are inline words, so the only retired garbage is probe
+        // tables: one per growth, each freed exactly once when the map
+        // drops (Miri's leak and double-free checks cover the drop).
+        let m: ShardedMap<u64> = ShardedMap::with_shards(1);
+        let retired = |m: &ShardedMap<u64>| m.shards[0].writer.lock().retired_tables.len();
+        for k in 0..1000 {
+            m.insert_if_absent(k, || k as u64);
         }
-        assert_eq!(Arc::strong_count(&probe), 1);
+        // 64 → 128 → 256 → 512 → 1024 → 2048 slots at load factor 0.7.
+        assert_eq!(retired(&m), 5);
+        for k in 0..1000 {
+            assert_eq!(m.replace(k, k as u64 + 1), Some(k as u64));
+        }
+        m.clear();
+        assert_eq!(retired(&m), 5, "replace and clear retire nothing");
+        assert!(m.insert_if_absent(3, || 30));
+        assert_eq!(m.get(3), Some(30));
+        drop(m);
+    }
+
+    #[test]
+    fn default_shard_count_is_four_per_core() {
+        let cores = std::thread::available_parallelism().map_or(8, |n| n.get());
+        let m: ShardedMap<u64> = ShardedMap::new();
+        assert_eq!(m.stats().shards, (cores * 4).next_power_of_two());
+        assert_eq!(std::mem::align_of::<Shard>(), 128);
     }
 }

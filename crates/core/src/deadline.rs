@@ -25,7 +25,7 @@
 //! available to consumers".
 
 use crate::graph::Key;
-use ft_cmap::ShardedMap;
+use ft_cmap::LockedMap;
 use ft_sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -48,7 +48,10 @@ pub struct DeadlineMonitor {
     start: Instant,
     /// Next completion sequence number.
     seq: AtomicU64,
-    completions: ShardedMap<CompletionStamp>,
+    /// First-completion stamps. A 16-byte stamp does not fit the
+    /// seqlock map's inline word; the lock-striped map serves this
+    /// deadline-mode-only probe, written once per completion.
+    completions: LockedMap<CompletionStamp>,
 }
 
 impl Default for DeadlineMonitor {
@@ -63,7 +66,7 @@ impl DeadlineMonitor {
         DeadlineMonitor {
             start: Instant::now(),
             seq: AtomicU64::new(0),
-            completions: ShardedMap::new(),
+            completions: LockedMap::new(),
         }
     }
 

@@ -13,8 +13,12 @@
 //! cache-padded per-worker lanes selected by the worker index the engine
 //! threads through, summed only at snapshot time — and never contend
 //! cross-worker.
+//!
+//! The per-task execution counts N(A) of Section V are not kept here: they
+//! live in each task descriptor, which the computing worker already owns,
+//! and the engine folds them into an [`ExecTally`] when the run quiesces.
+//! A compute therefore writes no shared map and takes no lock.
 
-use ft_cmap::LockedMap;
 use ft_steal::metrics::CachePadded;
 use ft_sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -49,12 +53,12 @@ impl ShardedCounter {
     }
 
     /// Increment the lane of `worker` (threads outside the pool share the
-    /// last lane).
+    /// last lane); returns that lane's count after the increment.
     #[inline]
-    pub fn add(&self, worker: Option<usize>) {
+    pub fn add(&self, worker: Option<usize>) -> u64 {
         let lane = worker.map_or(COUNTER_LANES - 1, |w| w % COUNTER_LANES);
         // ord: Relaxed — per-lane statistics counter, summed at quiescence.
-        self.lanes[lane].0.fetch_add(1, Ordering::Relaxed);
+        self.lanes[lane].0.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Sum of all lanes.
@@ -89,47 +93,25 @@ pub struct RunMetrics {
     pub injected: AtomicU64,
     /// Evicted-version reads (each starts a producer chain re-execution).
     pub overwrite_faults: AtomicU64,
-    /// Per-task execution counts: N(A) of Section V. A [`LockedMap`]
-    /// rather than the seqlock `ShardedMap`: this map is write-hot (one
-    /// `update_cas` per compute) and only read after quiescence, so the
-    /// lock-free read path buys nothing while its copy-on-write updates
-    /// would cost an allocation per compute.
-    pub exec_counts: LockedMap<u64>,
 }
 
 impl RunMetrics {
     /// Fresh, zeroed metrics.
     pub fn new() -> Self {
-        RunMetrics {
-            exec_counts: LockedMap::with_shards(64),
-            ..Default::default()
-        }
+        Self::default()
     }
 
-    /// Record one successful compute of `key` from outside the pool (the
-    /// shared lane of [`RunMetrics::computes`]); returns the execution
-    /// count N(key) *after* this execution.
-    pub fn record_compute(&self, key: i64) -> u64 {
-        self.record_compute_by(key, None)
+    /// Record one successful compute from outside the pool, on the shared
+    /// lane of [`RunMetrics::computes`]; returns that lane's count. `key`
+    /// is not recorded: a task's own count N(key) lives in its descriptor.
+    pub fn record_compute(&self, _key: i64) -> u64 {
+        self.computes.add(None)
     }
 
-    /// Record one successful compute of `key` on `worker`'s lane of
-    /// [`RunMetrics::computes`]; returns the execution count N(key)
-    /// *after* this execution.
-    pub fn record_compute_by(&self, key: i64, worker: Option<usize>) -> u64 {
-        self.computes.add(worker);
-        self.exec_counts.update_cas(key, |cur| {
-            let n = cur.copied().unwrap_or(0) + 1;
-            (Some(n), n)
-        })
-    }
-
-    /// Snapshot into a [`RunReport`] (without timing fields).
-    pub fn snapshot(&self) -> RunReport {
-        let exec: Vec<(i64, u64)> = self.exec_counts.entries();
-        let distinct = exec.len() as u64;
-        let total: u64 = exec.iter().map(|(_, n)| n).sum();
-        let max_n = exec.iter().map(|&(_, n)| n).max().unwrap_or(0);
+    /// Snapshot into a [`RunReport`] (without timing fields). `execs`
+    /// summarizes the per-task execution counts N(A), read from the
+    /// descriptors at quiescence.
+    pub fn snapshot(&self, execs: ExecTally) -> RunReport {
         RunReport {
             // ord: Relaxed throughout — snapshot of statistics counters
             // taken after the run quiesces; no cross-field ordering is
@@ -143,12 +125,40 @@ impl RunMetrics {
             duplicate_notifications: self.duplicate_notifications.load(),
             injected: self.injected.load(Ordering::Relaxed),
             overwrite_faults: self.overwrite_faults.load(Ordering::Relaxed),
-            distinct_tasks_executed: distinct,
-            re_executions: total - distinct,
-            max_executions_one_task: max_n,
+            distinct_tasks_executed: execs.distinct,
+            re_executions: execs.total - execs.distinct,
+            max_executions_one_task: execs.max,
             sink_completed: false,
             elapsed: Duration::ZERO,
         }
+    }
+}
+
+/// Running summary of per-task execution counts N(A): fed one task at a
+/// time (tasks that never executed, N = 0, are skipped).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ExecTally {
+    distinct: u64,
+    total: u64,
+    max: u64,
+}
+
+impl ExecTally {
+    /// Add one task that executed `n` times.
+    pub fn add(&mut self, n: u64) {
+        if n > 0 {
+            self.distinct += 1;
+            self.total += n;
+            self.max = self.max.max(n);
+        }
+    }
+}
+
+impl FromIterator<u64> for ExecTally {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut t = ExecTally::default();
+        iter.into_iter().for_each(|n| t.add(n));
+        t
     }
 }
 
@@ -213,11 +223,29 @@ mod tests {
 
     #[test]
     fn record_compute_counts_per_task() {
+        use crate::scheduler::Descriptor;
+        use crate::task::{BaseDesc, FtDesc};
+        use ft_steal::arena::Arena;
+        // N(A) lives in the descriptors: task 1 computed on its first
+        // incarnation and again on the one recovery made, task 2 once.
         let m = RunMetrics::new();
+        let arena = Arena::new();
+        let t1 = arena.alloc(FtDesc::new(1, 1, &[], 1));
+        let mut life2 = FtDesc::new(1, 2, &[], 1);
+        life2.prev = Some(t1);
+        let t1 = arena.alloc(life2);
+        let t2 = BaseDesc::new(2, &[], 0);
+        for d in [t1.prev.unwrap().execs(), t1.execs(), t2.execs()] {
+            d.fetch_add(1, Ordering::Relaxed);
+        }
         assert_eq!(m.record_compute(1), 1);
-        assert_eq!(m.record_compute_by(1, Some(0)), 2);
-        assert_eq!(m.record_compute_by(2, Some(3)), 1);
-        let r = m.snapshot();
+        m.computes.add(Some(0));
+        m.computes.add(Some(3));
+        let r = m.snapshot(
+            [t1.execs_all_lives(), t2.execs_all_lives(), 0]
+                .into_iter()
+                .collect(),
+        );
         assert_eq!(r.computes, 3);
         assert_eq!(r.distinct_tasks_executed, 2);
         assert_eq!(r.re_executions, 1);
@@ -253,7 +281,7 @@ mod tests {
     #[test]
     fn empty_metrics_snapshot() {
         let m = RunMetrics::new();
-        let r = m.snapshot();
+        let r = m.snapshot(ExecTally::default());
         assert_eq!(r.computes, 0);
         assert_eq!(r.re_executions, 0);
         assert_eq!(r.max_executions_one_task, 0);
@@ -265,7 +293,7 @@ mod tests {
         let m = RunMetrics::new();
         m.record_compute(7);
         m.injected.store(3, Ordering::Relaxed);
-        let mut r = m.snapshot();
+        let mut r = m.snapshot([1].into_iter().collect());
         r.sink_completed = true;
         let s = r.summary();
         assert!(s.contains("computes=1"));

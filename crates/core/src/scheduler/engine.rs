@@ -55,14 +55,14 @@ use crate::deadline::DeadlineMonitor;
 use crate::fault::Fault;
 use crate::graph::{ComputeCtx, Key, TaskGraph};
 use crate::inject::Phase;
-use crate::metrics::{RunMetrics, RunReport};
+use crate::metrics::{ExecTally, RunMetrics, RunReport};
 use crate::task::{NotifyCells, Status, Take};
 use crate::trace::Event;
 use ft_cmap::ShardedMap;
 use ft_steal::arena::{Arena, ArenaRef};
 use ft_steal::pool::{Executor, Scope};
 use ft_steal::{Job, Priority};
-use ft_sync::atomic::{fence, AtomicI64, Ordering};
+use ft_sync::atomic::{fence, AtomicI64, AtomicU32, Ordering};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,6 +145,15 @@ pub trait Descriptor: Send + Sync + 'static {
     fn notify_cells(&self) -> &NotifyCells;
     /// Store a new status.
     fn set_status(&self, s: Status);
+    /// Successful computes of this incarnation, bumped by the worker that
+    /// computes it.
+    fn execs(&self) -> &AtomicU32;
+    /// N(A): successful computes summed over this incarnation and every
+    /// incarnation it replaced. Read at quiescence.
+    fn execs_all_lives(&self) -> u64 {
+        // ord: Relaxed — statistics counter read at quiescence.
+        u64::from(self.execs().load(Ordering::Relaxed))
+    }
 }
 
 /// The shaded behavior of Figure 2 — everything that differs between the
@@ -250,6 +259,12 @@ pub trait FtPolicy: Send + Sync + Sized + 'static {
 /// (`Engine<NoFt>`) and [`FtScheduler`](super::FtScheduler)
 /// (`Engine<FtRecovery>`). One engine instance = one run (one epoch: the
 /// engine owns the arena every descriptor of the run lives in).
+///
+/// Aligned to 128 bytes, the alignment of `CachePadded`: every job holds
+/// an `Arc<Engine>`, and its clone and drop write the `Arc` counts on every
+/// task. The alignment puts those counts on a line of their own, apart from
+/// the fields every task reads (`graph`, `map`, `arena`).
+#[repr(align(128))]
 pub struct Engine<P: FtPolicy> {
     pub(super) graph: Arc<dyn TaskGraph>,
     /// The task map: key → current incarnation (arena handle).
@@ -335,7 +350,9 @@ impl<P: FtPolicy> Engine<P> {
     /// Shared by [`Engine::run`] and the graph service's per-instance
     /// tickets (`super::service`), which finish reports asynchronously.
     pub(super) fn finish_report(&self, start: Instant) -> RunReport {
-        let mut report = self.metrics.snapshot();
+        let mut execs = ExecTally::default();
+        self.map.for_each(|_, d| execs.add(d.execs_all_lives()));
+        let mut report = self.metrics.snapshot(execs);
         report.sink_completed = self
             .map
             .get(self.graph.sink())
@@ -631,8 +648,11 @@ impl<P: FtPolicy> Engine<P> {
             }
             // The compute ran to completion: count the work (even if the
             // injection right below discards it — that is exactly the
-            // "work lost" the experiments measure).
-            self.metrics.record_compute_by(key, worker);
+            // "work lost" the experiments measure). N(A) lands in the
+            // descriptor this worker already owns, the total on its lane.
+            // ord: Relaxed — statistics counter, summed at quiescence.
+            a.execs().fetch_add(1, Ordering::Relaxed);
+            self.metrics.computes.add(worker);
             self.policy.emit(worker, Event::Computed { key, life });
             // Section VI "after compute" injection point: computed, about
             // to notify successors. The guard right below observes it.
@@ -745,4 +765,19 @@ impl<P: FtPolicy> Engine<P> {
         }
     }
     // ft-lint: hot-path end(notify)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{FtRecovery, NoFt};
+    use super::Engine;
+    use std::mem::align_of;
+
+    #[test]
+    fn engine_is_aligned_clear_of_the_arc_counts() {
+        // `ArcInner` places the strong/weak counts before the value, so a
+        // 128-byte-aligned engine starts on a fresh pair of cache lines.
+        assert!(align_of::<Engine<NoFt>>() >= 128);
+        assert!(align_of::<Engine<FtRecovery>>() >= 128);
+    }
 }

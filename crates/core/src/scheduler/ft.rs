@@ -17,7 +17,7 @@
 //! (before compute / after compute / after notify) by consulting the run's
 //! [`FaultPlan`].
 
-use super::engine::{Engine, FtPolicy};
+use super::engine::{Descriptor, Engine, FtPolicy};
 use crate::fault::{Fault, FaultKind};
 use crate::graph::{Key, TaskGraph};
 use crate::inject::{FaultPlan, Phase};
@@ -59,7 +59,7 @@ pub struct FtRecovery {
 impl FtRecovery {
     fn new(plan: Arc<FaultPlan>, trace: Option<Arc<Trace>>) -> Self {
         FtRecovery {
-            rtable: ShardedMap::with_shards(64),
+            rtable: ShardedMap::new(),
             plan,
             trace,
             sabotage_notify: AtomicBool::new(false),
@@ -324,9 +324,16 @@ impl Engine<FtRecovery> {
     }
 
     /// Per-task execution counts N(A) after a run (Section V's `N`
-    /// function) — used by the Theorem 2 bound evaluation.
+    /// function) — used by the Theorem 2 bound evaluation. Each count is
+    /// summed over every incarnation of the task; tasks that never
+    /// executed are left out.
     pub fn exec_counts(&self) -> Vec<(Key, u64)> {
-        self.metrics.exec_counts.entries()
+        let mut out = Vec::new();
+        self.map.for_each(|key, d| match d.execs_all_lives() {
+            0 => {}
+            n => out.push((key, n)),
+        });
+        out
     }
 
     /// Poison a task: descriptor flag plus every output block version ("a

@@ -61,14 +61,18 @@ impl Engine<FtRecovery> {
     ///
     /// The replacement descriptor lives in the same epoch arena as the one
     /// it supersedes; superseded incarnations stay allocated (handles to
-    /// them may still be in flight) and are reclaimed with the epoch.
+    /// them may still be in flight), stay linked from their replacement
+    /// (`prev`, so their execution counts are still summed), and are
+    /// reclaimed with the epoch.
     pub(super) fn replace_task(&self, key: Key) -> (ArenaRef<FtDesc>, u64) {
         self.map.update_cas(key, |cur| {
             let life = cur.map(|d: &ArenaRef<FtDesc>| d.life).unwrap_or(0) + 1;
             let d = with_pred_scratch(|scratch| {
                 self.graph.predecessors_into(key, scratch);
                 let out = self.graph.out_degree(key);
-                self.arena.alloc(FtDesc::new(key, life, scratch, out))
+                let mut desc = FtDesc::new(key, life, scratch, out);
+                desc.prev = cur.copied();
+                self.arena.alloc(desc)
             });
             (Some(d), (d, life))
         })

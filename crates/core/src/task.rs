@@ -4,6 +4,9 @@
 //! (int64_t*) notifyArray […], (int) status". The fault-tolerant version
 //! adds the notification bit vector, the life number, a recovery marker and
 //! the poison/overwritten flags through which detected errors surface.
+//! Both descriptor types also carry their own execution count — N(A) of
+//! Section V — so a compute writes only the descriptor it computes; the
+//! counts are summed over every incarnation only when a run quiesces.
 //!
 //! Two descriptor types exist so the baseline scheduler (Figure 2,
 //! non-shaded) carries **zero** fault-tolerance state — the paper's
@@ -34,7 +37,8 @@ use crate::bitvec::AtomicBitVec;
 use crate::fault::Fault;
 use crate::graph::Key;
 use crate::scheduler::engine::Descriptor;
-use ft_sync::atomic::{AtomicBool, AtomicI64, AtomicU8, Ordering};
+use ft_steal::arena::ArenaRef;
+use ft_sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU8, Ordering};
 
 /// Keys stored inline by [`PredList`] and [`NotifyCells`] before spilling
 /// to the heap. Four covers every regular kernel (grid/LCS/LU/strassen
@@ -461,6 +465,9 @@ pub struct BaseDesc {
     pub join: AtomicI64,
     /// Execution status.
     pub status: AtomicU8,
+    /// Successful computes of this descriptor: N(A), bumped by the worker
+    /// that computes it and summed only at quiescence.
+    pub execs: AtomicU32,
     /// Successor notification cells, sized by the task's out-degree.
     pub notify: NotifyCells,
 }
@@ -475,6 +482,7 @@ impl BaseDesc {
             preds: PredList::new(preds),
             join: AtomicI64::new(join),
             status: AtomicU8::new(Status::Visited as u8),
+            execs: AtomicU32::new(0),
             notify: NotifyCells::new(out_degree),
         }
     }
@@ -512,6 +520,9 @@ impl Descriptor for BaseDesc {
     fn set_status(&self, s: Status) {
         BaseDesc::set_status(self, s);
     }
+    fn execs(&self) -> &AtomicU32 {
+        &self.execs
+    }
 }
 
 /// Descriptor for the **fault-tolerant** scheduler.
@@ -527,6 +538,12 @@ pub struct FtDesc {
     pub join: AtomicI64,
     /// Execution status.
     pub status: AtomicU8,
+    /// Successful computes of this incarnation: its share of N(A), bumped
+    /// by the worker that computes it and summed only at quiescence.
+    pub execs: AtomicU32,
+    /// The incarnation this one replaced (`None` for life 1), so that
+    /// N(A) can be summed over every life of a task from the task map.
+    pub prev: Option<ArenaRef<FtDesc>>,
     /// Successor notification cells, sized by the task's out-degree. A
     /// recovered incarnation gets a **fresh** descriptor (life+1) and
     /// therefore fresh cells — the life number doubles as the generation
@@ -556,6 +573,8 @@ impl FtDesc {
             preds: PredList::new(preds),
             join: AtomicI64::new(n as i64 + 1),
             status: AtomicU8::new(Status::Visited as u8),
+            execs: AtomicU32::new(0),
+            prev: None,
             notify: NotifyCells::new(out_degree),
             bits: AtomicBitVec::new_all_set(n + 1),
             poisoned: AtomicBool::new(false),
@@ -633,6 +652,19 @@ impl Descriptor for FtDesc {
     }
     fn set_status(&self, s: Status) {
         FtDesc::set_status(self, s);
+    }
+    fn execs(&self) -> &AtomicU32 {
+        &self.execs
+    }
+    fn execs_all_lives(&self) -> u64 {
+        let mut n = 0;
+        let mut cur = Some(self);
+        while let Some(d) = cur {
+            // ord: Relaxed — statistics counter read at quiescence.
+            n += u64::from(d.execs.load(Ordering::Relaxed));
+            cur = d.prev.as_deref();
+        }
+        n
     }
 }
 

@@ -39,7 +39,10 @@
 //! Report cross-checks tie the counters to the event log: `computes` ==
 //! #`Computed`, `recoveries` == #`RecoveryStarted`, `notifications` ==
 //! #`Notified`, and so on — a scheduler that, say, silently skips the
-//! bit-vector test changes these invariants and is caught.
+//! bit-vector test changes these invariants and is caught. The per-task
+//! execution counts N(A), which the scheduler sums from its descriptors
+//! over every incarnation, are checked against the per-key `Computed`
+//! events: distinct tasks, re-executions Σ(N(A) − 1) and max N(A).
 //!
 //! On failure, [`FailureReport`] serializes the offending run — seed, fault
 //! plan, violations, and the full trace — as JSON so the exact interleaving
@@ -120,7 +123,7 @@ pub fn check_trace(
     let mut n_reset = 0u64;
     let mut injected_eager: HashMap<Key, u64> = HashMap::new(); // before/after-compute fires per key
     let mut recoveries_per_key: HashMap<Key, u64> = HashMap::new();
-    let mut computed_keys: HashSet<Key> = HashSet::new();
+    let mut computes_per_key: HashMap<Key, u64> = HashMap::new(); // N(A), all lives
 
     for (i, te) in events.iter().enumerate() {
         if i > 0 && events[i - 1].seq >= te.seq {
@@ -177,7 +180,7 @@ pub fn check_trace(
             }
             Event::Computed { key, life } => {
                 n_computed += 1;
-                computed_keys.insert(key);
+                *computes_per_key.entry(key).or_default() += 1;
                 let ml = *max_life.get(&key).unwrap_or(&0);
                 if mode == OracleMode::Strict && (life == 0 || life > ml) {
                     push(
@@ -372,10 +375,23 @@ pub fn check_trace(
         n_duplicate,
     );
     cross("injected", report.injected, n_injected);
+    // N(A) per task, summed by the scheduler from its descriptors'
+    // counters over every incarnation: the per-key `Computed` events must
+    // give the same distinct count, re-executions and maximum.
     cross(
         "distinct_tasks_executed",
         report.distinct_tasks_executed,
-        computed_keys.len() as u64,
+        computes_per_key.len() as u64,
+    );
+    cross(
+        "re_executions",
+        report.re_executions,
+        computes_per_key.values().map(|n| n - 1).sum(),
+    );
+    cross(
+        "max_executions_one_task",
+        report.max_executions_one_task,
+        computes_per_key.values().copied().max().unwrap_or(0),
     );
     if n_completed > n_computed {
         push(
@@ -514,6 +530,8 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use crate::metrics::RunMetrics;
+    use crate::scheduler::Descriptor;
+    use crate::task::FtDesc;
 
     /// 0 -> 1 chain.
     struct Chain;
@@ -588,14 +606,19 @@ mod tests {
         ]
     }
 
+    /// The report a correct run of [`clean_chain_trace`] produces: each
+    /// task's descriptor counts its one compute, as the engine does.
     fn matching_report() -> RunReport {
         let m = RunMetrics::new();
-        m.record_compute(0);
-        m.record_compute(1);
+        let descs = [FtDesc::new(0, 1, &[], 1), FtDesc::new(1, 1, &[0], 0)];
+        for d in &descs {
+            d.execs().fetch_add(1, ft_sync::atomic::Ordering::Relaxed);
+            m.computes.add(None);
+        }
         for _ in 0..3 {
             m.notifications.add(None);
         }
-        let mut r = m.snapshot();
+        let mut r = m.snapshot(descs.iter().map(|d| d.execs_all_lives()).collect());
         r.sink_completed = true;
         r
     }
@@ -760,6 +783,23 @@ mod tests {
         r.computes += 5;
         let v = check_trace(&Chain, &clean_chain_trace(), &r, OracleMode::Strict);
         assert!(v.iter().any(|v| v.guarantee == "report"), "got {v:?}");
+    }
+
+    #[test]
+    fn execution_count_mismatch_is_caught() {
+        // A descriptor counter that missed or doubled a compute shows up
+        // as a wrong per-task summary even when the total is right.
+        let mut r = matching_report();
+        r.re_executions = 1;
+        r.max_executions_one_task = 2;
+        let v = check_trace(&Chain, &clean_chain_trace(), &r, OracleMode::Strict);
+        for name in ["re_executions", "max_executions_one_task"] {
+            assert!(
+                v.iter()
+                    .any(|v| v.message.starts_with(&format!("report.{name} "))),
+                "{name} not cross-checked: {v:?}"
+            );
+        }
     }
 
     #[test]

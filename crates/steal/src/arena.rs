@@ -332,6 +332,27 @@ impl<T> ArenaRef<T> {
     }
 }
 
+// A handle is one pointer, so the task map stores it inline in a slot word.
+// The pointer's provenance is exposed on encode and picked up again on
+// decode, so a decoded handle may access the allocation like the original.
+impl<T> ft_sync::Word for ArenaRef<T> {
+    #[inline]
+    fn to_word(self) -> u64 {
+        self.ptr.as_ptr().expose_provenance() as u64
+    }
+
+    // SAFETY: the caller passes a word from `to_word` (trait contract), so
+    // the address is the non-null, exposed address of a handle's slot and
+    // rebuilding the handle yields that same handle.
+    #[inline]
+    unsafe fn from_word(w: u64) -> Self {
+        let ptr = std::ptr::with_exposed_provenance_mut::<T>(w as usize);
+        // SAFETY: non-null — the word is the address of a handle's slot.
+        let ptr = unsafe { NonNull::new_unchecked(ptr) };
+        ArenaRef { ptr }
+    }
+}
+
 impl<T> std::ops::Deref for ArenaRef<T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -407,6 +428,17 @@ mod tests {
             }
         }
         assert_eq!(drops.load(StdOrdering::Relaxed), n);
+    }
+
+    #[test]
+    fn handle_round_trips_through_a_map_word() {
+        use ft_sync::Word;
+        let arena = Arena::new();
+        let a = arena.alloc(7u64);
+        // SAFETY: the word comes from `to_word` of a live handle.
+        let b = unsafe { ArenaRef::<u64>::from_word(a.to_word()) };
+        assert!(ArenaRef::ptr_eq(a, b));
+        assert_eq!(*b, 7);
     }
 
     #[test]

@@ -143,8 +143,12 @@ struct PoolState {
     /// worker acquires one. Idle workers consult this single counter to
     /// decide whether to park — O(1) instead of sweeping every stealer.
     queued: CachePadded<AtomicU64>,
-    parker: Parker,
-    pending: CountLatch,
+    /// Sleep/wake state, on its own line: touched on every park decision
+    /// and wake-up, never by the per-job counters around it.
+    parker: CachePadded<Parker>,
+    /// Outstanding-job latch, on its own line: bumped per spawn and per
+    /// completed job, so it must not share a line with read-mostly fields.
+    pending: CachePadded<CountLatch>,
     metrics: Vec<CachePadded<WorkerMetrics>>,
     shutdown: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -364,8 +368,8 @@ impl Pool {
             stealers,
             injector: PrioInjector::new(),
             queued: CachePadded(AtomicU64::new(0)),
-            parker: Parker::new(),
-            pending: CountLatch::new(),
+            parker: CachePadded(Parker::new()),
+            pending: CachePadded(CountLatch::new()),
             metrics,
             shutdown: AtomicBool::new(false),
             panic: Mutex::new(None),

@@ -16,6 +16,9 @@
 //! is the single sanctioned exception: the `cfg(not(loom))` arm below is
 //! where the std atomics enter the dependency graph.
 //!
+//! The crate also defines [`Word`], the encoding of values that a
+//! lock-free structure stores inline in one atomic 64-bit word.
+//!
 //! Usage is identical to std:
 //!
 //! ```
@@ -25,6 +28,9 @@
 //! ```
 
 #![warn(missing_docs)]
+
+mod word;
+pub use word::Word;
 
 #[cfg(loom)]
 pub use loom::sync::atomic;
